@@ -648,10 +648,18 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
         ),
     ] {
         let k = t.kernel;
+        // The tier whose row this measurement replaces (`generic` = the
+        // portable rows).
+        let tier = if path == ata_kernels::micro::MicroPath::Intrinsic {
+            ata_kernels::simd::detected()
+        } else {
+            ata_kernels::simd::Isa::Generic
+        };
         println!(
-            "{name} ({} path, {}-tile menu): mr={} nr={} kc={} mc={} nc={} base_words={} \
-             micro_min_volume={}",
+            "{name} ({} path, {} tier, {}-tile menu): mr={} nr={} kc={} mc={} nc={} \
+             base_words={} micro_min_volume={}",
             path.name(),
+            tier.name(),
             menu.len(),
             k.mr,
             k.nr,

@@ -17,12 +17,14 @@
 //!
 //! # Per-ISA tables
 //!
-//! The table is keyed on *(scalar type, resolved tile path)*: the fused
-//! AVX2/FMA kernels in [`crate::simd`] prefer different register tiles
-//! and cutoffs than the portable autovectorized kernels, so a machine
-//! with FMA resolves the `*_FMA` rows and everything else (including
-//! forced `ATA_MICRO=portable|scalar` runs) resolves the portable rows.
-//! `ata calibrate` prints both sets where the hardware supports them.
+//! The table is keyed on *(scalar type, resolved tile path, ISA tier)*:
+//! each tier of fused kernels in [`crate::simd`] prefers different
+//! register tiles and cutoffs than the portable autovectorized kernels
+//! and than the other tier, so a machine with AVX-512F resolves the
+//! `*_AVX512` rows, one with only AVX2+FMA the `*_FMA` rows, and
+//! everything else (including forced `ATA_MICRO=portable|scalar` runs)
+//! the portable rows. `ata calibrate` measures and prints the rows of
+//! the path and tier it resolves.
 //!
 //! # Overriding
 //!
@@ -40,6 +42,7 @@ use crate::micro::{
     MICRO_MIN_VOLUME,
 };
 use crate::pack::PackBufs;
+use crate::simd::Isa;
 use ata_mat::{MatMut, MatRef, Scalar};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -139,28 +142,88 @@ const TUNED_F32_FMA: Tuned = Tuned {
     micro_min_volume: 24 * 24 * 24 + 1,
 };
 
-/// The measured parameters for scalar type `T` on an explicit tile
-/// path, with any `ATA_KERNEL_PARAMS` override applied.
-///
-/// Only a genuinely-available `Intrinsic` path (see
-/// [`crate::simd::has_kernels`]) resolves the `*_FMA` rows; `Portable`
-/// and `Scalar` — and any scalar the SIMD module has no kernels for —
-/// resolve the portable rows, so the blocking a run uses always matches
-/// the kernels it executes.
-pub fn tuned_for_path<T: Scalar>(path: MicroPath) -> Tuned {
-    let fused = path == MicroPath::Intrinsic && crate::simd::has_kernels::<T>();
-    let base = match (T::NAME, fused) {
-        ("f32", true) => TUNED_F32_FMA,
-        ("f32", false) => TUNED_F32,
-        ("f64", true) => TUNED_F64_FMA,
+/// Fused-kernel row for f64 under [`Isa::Avx512`], measured on a 2-vCPU
+/// Intel Xeon VM (avx512f, 2.1 GHz class) with `ata calibrate` plus
+/// end-to-end serial grams (2048 x 2048 and 8192 x 1024, thread CPU
+/// time). The sweep picks the 8 x 16 tile (16 zmm accumulators) on every
+/// run; `KC = 256, MC = 256, NC = 512` won the end-to-end blocking grid
+/// over `MC = 128` on both shapes (square 0.48-0.51 s vs 0.52-0.54 s,
+/// tall 0.53-0.56 s vs 0.61-0.64 s). Best-of-3 leaf rates at n = 512
+/// ranged 24-35 GF/s gemm and 15-22 GF/s syrk across the grid (the
+/// AVX2 row's 4 x 8 tile measured 28-31 / 20-24 GF/s on the AVX2+FMA
+/// reference container).
+const TUNED_F64_AVX512: Tuned = Tuned {
+    kernel: KernelConfig {
+        mr: 8,
+        nr: 16,
+        kc: 256,
+        mc: 256,
+        nc: 512,
+    },
+    // The faster leaves move the crossover up. The single-level model's
+    // answer is noise-bound on this host (2*128^2 to 2*192^2 across
+    // runs), so the cutoff is the end-to-end winner: a 2^20-word budget
+    // (1024^2 syrk leaves on the square shape) beat 2^18 and 2^19 on
+    // both shapes (square 0.42-0.47 s against 0.58 s at 2^18; tall
+    // 0.55-0.65 s against 0.73-0.86 s), while 2^21 gained nothing
+    // further.
+    base_words: 1_048_576,
+    micro_min_volume: MICRO_MIN_VOLUME,
+};
+
+/// Fused-kernel row for f32 under [`Isa::Avx512`] (see
+/// [`TUNED_F64_AVX512`]): 16 lanes per vector, the same 8-row,
+/// 16-accumulator block twice as wide (8 x 32 measured 48-52 GF/s gemm
+/// and 36-39 syrk at n = 512-1024, against 33-34 for 8 x 16), beating
+/// the blocked loops at every swept size, with the f64 row's blocking
+/// and cutoff (tall 8192 x 1024 grams: 0.27 s at 2^20 words against
+/// 0.57 s at 2^17).
+const TUNED_F32_AVX512: Tuned = Tuned {
+    kernel: KernelConfig {
+        mr: 8,
+        nr: 32,
+        kc: 256,
+        mc: 256,
+        nc: 512,
+    },
+    base_words: 1_048_576,
+    micro_min_volume: MICRO_MIN_VOLUME,
+};
+
+/// The baked row for scalar type `T` running tier `tier`'s kernels
+/// ([`Isa::Generic`] = the portable and scalar paths).
+fn row<T: Scalar>(tier: Isa) -> Tuned {
+    match (T::NAME, tier) {
+        ("f32", Isa::Avx512) => TUNED_F32_AVX512,
+        ("f32", Isa::Fma) => TUNED_F32_FMA,
+        ("f32", Isa::Generic) => TUNED_F32,
+        ("f64", Isa::Avx512) => TUNED_F64_AVX512,
+        ("f64", Isa::Fma) => TUNED_F64_FMA,
         // Types without their own row (the op-counting `Tracked` scalar,
         // exact fields) inherit the portable f64 row: their "speed" is
         // irrelevant, but sharing the row keeps their blocking — and
         // therefore their measured operation *counts* — identical to the
         // f64 reference path on every host ISA.
         _ => TUNED_F64,
+    }
+}
+
+/// The measured parameters for scalar type `T` on an explicit tile
+/// path, with any `ATA_KERNEL_PARAMS` override applied.
+///
+/// Only a genuinely-available `Intrinsic` path (see
+/// [`crate::simd::has_kernels`]) resolves a fused row, the one of the
+/// detected tier ([`crate::simd::detected`]); `Portable` and `Scalar` —
+/// and any scalar the SIMD module has no kernels for — resolve the
+/// portable rows, so the blocking a run uses always matches the kernels
+/// it executes.
+pub fn tuned_for_path<T: Scalar>(path: MicroPath) -> Tuned {
+    let tier = if path == MicroPath::Intrinsic && crate::simd::has_kernels::<T>() {
+        crate::simd::detected()
+    } else {
+        Isa::Generic
     };
-    apply_env(base)
+    apply_env(row::<T>(tier))
 }
 
 /// The measured parameters for scalar type `T` on the tile path the
@@ -175,7 +238,7 @@ pub fn tuned_for<T: Scalar>() -> Tuned {
 /// kernels, the portable [`KernelConfig::MENU`] otherwise.
 pub fn menu_for<T: Scalar>() -> &'static [(usize, usize)] {
     if micro_path_for::<T>() == MicroPath::Intrinsic {
-        if let Some(menu) = crate::simd::fma_menu::<T>() {
+        if let Some(menu) = crate::simd::detected().menu::<T>() {
             return menu;
         }
     }
@@ -326,9 +389,11 @@ fn time_syrk<T: Scalar>(size: usize, cfg: &KernelConfig, bufs: &mut PackBufs<T>)
 }
 
 /// The sizes swept for the base-case crossover; the returned cutoff is
-/// always `2 s^2` for some swept `s`, so `[2*48^2, 2*256^2]` is the
-/// valid range of any measured (or baked) `base_words`.
-pub const BASE_SWEEP_SIZES: &[usize] = &[48, 64, 96, 128, 192, 256];
+/// always `2 s^2` for some swept `s`, so `[2*48^2, 2*1024^2]` is the
+/// valid range of any measured (or baked) `base_words`. The top sizes
+/// exist for the AVX-512 tier, whose leaves stay efficient well past
+/// `256 x 256`.
+pub const BASE_SWEEP_SIZES: &[usize] = &[48, 64, 96, 128, 192, 256, 384, 512, 768, 1024];
 
 /// Locate the AtA base-case crossover for `T` under `kernel`, by timing
 /// the two sides of one Algorithm 1 recursion level directly:
@@ -448,6 +513,8 @@ mod tests {
         for (t, menu) in [
             (TUNED_F64_FMA, crate::simd::FMA_MENU_F64),
             (TUNED_F32_FMA, crate::simd::FMA_MENU_F32),
+            (TUNED_F64_AVX512, crate::simd::AVX512_MENU_F64),
+            (TUNED_F32_AVX512, crate::simd::AVX512_MENU_F32),
         ] {
             let tile = (t.kernel.mr, t.kernel.nr);
             assert!(
@@ -465,7 +532,14 @@ mod tests {
     fn baked_cutoffs_lie_in_the_measured_sweep_range() {
         let lo = 2 * BASE_SWEEP_SIZES.first().unwrap().pow(2);
         let hi = 2 * BASE_SWEEP_SIZES.last().unwrap().pow(2);
-        for t in [TUNED_F64, TUNED_F32, TUNED_F64_FMA, TUNED_F32_FMA] {
+        for t in [
+            TUNED_F64,
+            TUNED_F32,
+            TUNED_F64_FMA,
+            TUNED_F32_FMA,
+            TUNED_F64_AVX512,
+            TUNED_F32_AVX512,
+        ] {
             assert!(
                 (lo..=hi).contains(&t.base_words),
                 "baked cutoff {} outside the sweep's valid range [{lo}, {hi}]",
@@ -500,14 +574,15 @@ mod tests {
             tuned_for_path::<ata_mat::tracked::Tracked>(MicroPath::Intrinsic),
             tuned_for_path::<f64>(MicroPath::Portable),
         );
+        let tier = crate::simd::detected();
         if crate::simd::has_kernels::<f64>() {
             assert_eq!(
                 tuned_for_path::<f64>(MicroPath::Intrinsic),
-                apply_env(TUNED_F64_FMA)
+                apply_env(row::<f64>(tier))
             );
             assert_eq!(
                 tuned_for_path::<f32>(MicroPath::Intrinsic),
-                apply_env(TUNED_F32_FMA)
+                apply_env(row::<f32>(tier))
             );
         }
         assert_eq!(
@@ -520,8 +595,12 @@ mod tests {
     fn menus_track_the_resolved_path() {
         use crate::micro::micro_path_for;
         if micro_path_for::<f64>() == MicroPath::Intrinsic {
-            assert_eq!(menu_for::<f64>(), crate::simd::FMA_MENU_F64);
-            assert_eq!(menu_for::<f32>(), crate::simd::FMA_MENU_F32);
+            let (m64, m32) = match crate::simd::detected() {
+                Isa::Avx512 => (crate::simd::AVX512_MENU_F64, crate::simd::AVX512_MENU_F32),
+                _ => (crate::simd::FMA_MENU_F64, crate::simd::FMA_MENU_F32),
+            };
+            assert_eq!(menu_for::<f64>(), m64);
+            assert_eq!(menu_for::<f32>(), m32);
         } else {
             assert_eq!(menu_for::<f64>(), KernelConfig::MENU);
         }
@@ -530,6 +609,31 @@ mod tests {
             KernelConfig::MENU,
             "op counting sweeps the portable menu on any host"
         );
+    }
+
+    #[test]
+    fn avx2_rows_are_unchanged_by_the_avx512_tier() {
+        // A host without avx512f must keep resolving exactly the AVX2
+        // tile, blocking and cutoffs it always has.
+        let f64_fma = Tuned {
+            kernel: KernelConfig::new(4, 8, 128, 64, 256),
+            base_words: 131_072,
+            micro_min_volume: MICRO_MIN_VOLUME,
+        };
+        let f32_fma = Tuned {
+            kernel: KernelConfig::new(4, 16, 256, 64, 256),
+            base_words: 131_072,
+            micro_min_volume: 24 * 24 * 24 + 1,
+        };
+        assert_eq!(row::<f64>(Isa::Fma), f64_fma);
+        assert_eq!(row::<f32>(Isa::Fma), f32_fma);
+        assert_eq!(row::<f64>(Isa::Generic), TUNED_F64);
+        if crate::simd::detected() == Isa::Fma && micro_path_for::<f64>() == MicroPath::Intrinsic {
+            assert_eq!(
+                tuned_for_path::<f64>(MicroPath::Intrinsic),
+                apply_env(f64_fma)
+            );
+        }
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   base-case cutoff model behind the engine's defaults;
 //! * [`par`] — rayon-parallel versions standing in for multi-threaded MKL
 //!   in the Figure 5/6 comparisons;
-//! * [`simd`] — explicit AVX2/FMA register kernels behind one-time
-//!   runtime CPU-feature detection, with the portable kernels as the
-//!   bit-identical fallback on machines without them.
+//! * [`simd`] — explicit AVX2+FMA and AVX-512F register kernels behind
+//!   one-time runtime CPU-feature detection, with the portable kernels
+//!   as the bit-identical fallback on machines without them.
 //!
 //! Absolute GFLOPs are below MKL's hand-tuned assembly, but every
 //! algorithm in the workspace — AtA and all baselines — calls these same

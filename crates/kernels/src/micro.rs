@@ -37,10 +37,12 @@
 //! Strassen product and every measured-flop validation runs — the
 //! engine performs *exactly* `m * n * k` multiplications and
 //! `m * n * k` additions, the same counts as the rank-1 reference path
-//! (a parity the `micro_props` proptests pin down). Ragged edges are
-//! computed by a bounds-aware scalar tile ([`edge kernel`](self))
-//! rather than with zero-padding arithmetic, which is what keeps the
-//! counts exact for arbitrary shapes. `alpha = -1` stays
+//! (a parity the `micro_props` proptests pin down). On the portable and
+//! scalar paths ragged edges are computed by a bounds-aware scalar tile
+//! ([`edge kernel`](self)) rather than with zero-padding arithmetic,
+//! which is what keeps the counts exact for arbitrary shapes; only the
+//! intrinsic path, which `Tracked` never reaches, runs them fused over
+//! the zero padding. `alpha = -1` stays
 //! multiplication-exact too (`m * n * k` muls) by folding the sign into
 //! the `B`-pack as `m * k` negations — *cheaper* than the rank-1 path,
 //! which re-multiplies by `alpha` per tile, so negated products are not
@@ -82,8 +84,8 @@ pub struct KernelConfig {
 impl KernelConfig {
     /// Register tiles with a dedicated unrolled portable microkernel.
     /// Other `(mr, nr)` pairs run through the (slower) bounds-aware
-    /// kernel. The intrinsic tiles ([`crate::simd::FMA_MENU_F64`] /
-    /// [`crate::simd::FMA_MENU_F32`]) are a subset, so a forced
+    /// kernel. Every tier's intrinsic tiles ([`crate::simd::FMA_MENU_F64`],
+    /// [`crate::simd::AVX512_MENU_F32`], ...) are a subset, so a forced
     /// `ATA_MICRO=portable` run keeps the unrolled kernel at any
     /// ISA-calibrated tile.
     pub const MENU: &'static [(usize, usize)] = &[
@@ -98,6 +100,7 @@ impl KernelConfig {
         (8, 6),
         (8, 8),
         (8, 16),
+        (8, 32),
         (12, 4),
     ];
 
@@ -147,8 +150,8 @@ pub enum KernelPath {
 /// — the inner dispatch level below the micro-vs-blocked choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MicroPath {
-    /// Explicit-SIMD fused kernels from [`crate::simd`] (full tiles
-    /// only; ragged edges always stay on the scalar kernel).
+    /// Explicit-SIMD fused kernels from [`crate::simd`], for full tiles
+    /// and (through a scratch tile) ragged edges and diagonal straddles.
     Intrinsic,
     /// The safe const-generic kernels in this module (unfused
     /// `mul_add`, autovectorizer-scheduled).
@@ -309,7 +312,7 @@ fn full_tile<T: Scalar>(
             }
         }
         MicroPath::Scalar => {
-            edge_tile(kc, mr, nr, mr, nr, ap, bp, c, None);
+            edge_tile(kc, mr, nr, ap, bp, c, None);
             return;
         }
         MicroPath::Portable => {}
@@ -324,35 +327,75 @@ fn full_tile<T: Scalar>(
         (8, 6) => kernel::<T, 8, 6>(kc, ap, bp, c),
         (8, 8) => kernel::<T, 8, 8>(kc, ap, bp, c),
         (8, 16) => kernel::<T, 8, 16>(kc, ap, bp, c),
+        (8, 32) => kernel::<T, 8, 32>(kc, ap, bp, c),
         (12, 4) => kernel::<T, 12, 4>(kc, ap, bp, c),
         (4, 12) => kernel::<T, 4, 12>(kc, ap, bp, c),
         (6, 4) => kernel::<T, 6, 4>(kc, ap, bp, c),
-        _ => edge_tile(kc, mr, nr, mr, nr, ap, bp, c, None),
+        _ => edge_tile(kc, mr, nr, ap, bp, c, None),
     }
 }
 
-/// Full-size tile straddling the diagonal of a syrk block, on the
-/// intrinsic path: run the fused kernel on the whole tile into a zeroed
-/// scratch, then accumulate only the lower-triangle entries into `C`.
+/// Largest register tile (`mr * nr` elements) [`fused_partial_tile`]
+/// can stage on the stack. A wider intrinsic tile would silently drop
+/// every ragged and straddling tile to the scalar [`edge_tile`], so the
+/// assertion below refuses to compile such a menu.
+const MAX_TILE: usize = 256;
+
+const _: () = {
+    let menus = crate::simd::INTRINSIC_MENUS;
+    let mut m = 0;
+    while m < menus.len() {
+        let mut t = 0;
+        while t < menus[m].len() {
+            let (mr, nr) = menus[m][t];
+            assert!(
+                mr * nr <= MAX_TILE,
+                "intrinsic tile exceeds the fused scratch tile"
+            );
+            t += 1;
+        }
+        m += 1;
+    }
+};
+
+/// A ragged or diagonal-straddling tile: only `c`'s `mr_eff x nr_eff`
+/// entries (capped to the lower triangle when `diag = Some((ir, jr))`,
+/// see [`edge_tile`]) are updated.
 ///
-/// This keeps the expensive straddle band — a constant fraction of every
-/// diagonal block — at fused speed instead of scalar speed, at the cost
-/// of one extra add per stored element. Only the intrinsic path takes
-/// it: the portable/scalar paths keep the exact-op [`edge_tile`], so
-/// `Tracked` counts and portable bitwise behavior are unchanged. `false`
-/// means no fused kernel took the tile and the caller must fall back.
+/// The intrinsic path runs the fused kernel over the full zero-padded
+/// panels into a zeroed scratch tile, then adds only the valid entries
+/// into `C` — fused speed for the ragged edges and the straddle band (a
+/// constant fraction of every diagonal block), at the cost of one extra
+/// add per stored element. Every other path, and any tile no fused
+/// kernel takes, runs the exact-op [`edge_tile`], so `Tracked` counts
+/// and portable bitwise behavior are unchanged.
 #[allow(clippy::too_many_arguments)]
-fn straddle_tile_intrinsic<T: Scalar>(
+fn partial_tile<T: Scalar>(
+    path: MicroPath,
+    kc: usize,
     mr: usize,
     nr: usize,
-    kc: usize,
     ap: &[T],
     bp: &[T],
     c: &mut MatMut<'_, T>,
-    ir: usize,
-    jr: usize,
+    diag: Option<(usize, usize)>,
+) {
+    if path != MicroPath::Intrinsic || !fused_partial_tile(kc, mr, nr, ap, bp, c, diag) {
+        edge_tile(kc, mr, nr, ap, bp, c, diag);
+    }
+}
+
+/// The intrinsic half of [`partial_tile`]; `false` means no fused
+/// kernel took the tile and `c` is untouched.
+fn fused_partial_tile<T: Scalar>(
+    kc: usize,
+    mr: usize,
+    nr: usize,
+    ap: &[T],
+    bp: &[T],
+    c: &mut MatMut<'_, T>,
+    diag: Option<(usize, usize)>,
 ) -> bool {
-    const MAX_TILE: usize = 256;
     if mr * nr > MAX_TILE {
         return false;
     }
@@ -361,45 +404,49 @@ fn straddle_tile_intrinsic<T: Scalar>(
     if !crate::simd::full_tile(mr, nr, kc, ap, bp, &mut sv) {
         return false;
     }
-    for ii in 0..mr {
-        let jj_max = (ir + ii + 1).saturating_sub(jr).min(nr);
-        let srow = &scratch[ii * nr..ii * nr + nr];
+    let (mr_eff, nr_eff) = c.shape();
+    for (ii, srow) in scratch.chunks_exact(nr).take(mr_eff).enumerate() {
         let crow = c.row_mut(ii);
-        for (cv, sv) in crow.iter_mut().zip(srow).take(jj_max) {
-            *cv += *sv;
+        for (cv, s) in crow.iter_mut().zip(srow).take(row_cap(ii, nr_eff, diag)) {
+            *cv += *s;
         }
     }
     true
 }
 
+/// Columns of row `ii` a partial tile may touch: all `nr_eff`, or for a
+/// tile at `(ir, jr)` of a diagonal block the lower-triangle prefix
+/// (`ir + ii >= jr + jj`).
+#[inline]
+fn row_cap(ii: usize, nr_eff: usize, diag: Option<(usize, usize)>) -> usize {
+    match diag {
+        None => nr_eff,
+        Some((ir, jr)) => (ir + ii + 1).saturating_sub(jr).min(nr_eff),
+    }
+}
+
 /// Bounds-aware tile for ragged edges and diagonal straddles.
 ///
-/// Computes `c[ii, jj] (+)= sum_p ap[p, ii] * bp[p, jj]` for
-/// `ii < mr_eff`, `jj < jj_max(ii)` where the column cap enforces the
-/// lower-triangle constraint when `diag = Some((ir, jr))` (tile placed at
-/// rows `ir..`, cols `jr..` of a diagonal block: only `ir + ii >= jr + jj`
-/// entries are touched). Performs exactly one multiply and one add per
-/// computed `(ii, jj, p)` triple — no padding arithmetic.
-#[allow(clippy::too_many_arguments)]
+/// Computes `c[ii, jj] (+)= sum_p ap[p, ii] * bp[p, jj]` over `c`'s
+/// `mr_eff x nr_eff` extent, for `jj < row_cap(ii)` where the column cap
+/// enforces the lower-triangle constraint when `diag = Some((ir, jr))`
+/// (tile placed at rows `ir..`, cols `jr..` of a diagonal block: only
+/// `ir + ii >= jr + jj` entries are touched). Performs exactly one
+/// multiply and one add per computed `(ii, jj, p)` triple — no padding
+/// arithmetic.
 fn edge_tile<T: Scalar>(
     kc: usize,
     mr: usize,
     nr: usize,
-    mr_eff: usize,
-    nr_eff: usize,
     ap: &[T],
     bp: &[T],
     c: &mut MatMut<'_, T>,
     diag: Option<(usize, usize)>,
 ) {
-    debug_assert_eq!(c.shape(), (mr_eff, nr_eff));
+    let (mr_eff, nr_eff) = c.shape();
     for ii in 0..mr_eff {
-        let jj_max = match diag {
-            None => nr_eff,
-            Some((ir, jr)) => (ir + ii + 1).saturating_sub(jr).min(nr_eff),
-        };
         let crow = c.row_mut(ii);
-        for (jj, cv) in crow.iter_mut().enumerate().take(jj_max) {
+        for (jj, cv) in crow.iter_mut().enumerate().take(row_cap(ii, nr_eff, diag)) {
             let mut acc = *cv;
             for p in 0..kc {
                 acc = ap[p * mr + ii].mul_add(bp[p * nr + jj], acc);
@@ -442,7 +489,7 @@ fn sweep_tiles<T: Scalar>(
             if mr_eff == mr && nr_eff == nr {
                 full_tile(path, mr, nr, kc_eff, ap, bp, &mut ctile);
             } else {
-                edge_tile(kc_eff, mr, nr, mr_eff, nr_eff, ap, bp, &mut ctile, None);
+                partial_tile(path, kc_eff, mr, nr, ap, bp, &mut ctile, None);
             }
             ir += mr;
         }
@@ -552,8 +599,8 @@ pub fn gemm_tn_micro<T: Scalar>(
 ///
 /// Strictly-lower rectangular blocks reuse the gemm loop nest; diagonal
 /// blocks run micro-tiles below the diagonal at full speed and straddling
-/// tiles through the bounds-aware kernel, so only `i >= j` entries are
-/// read or written and the flop count stays the exact triangle count.
+/// tiles as partial tiles, so only `i >= j` entries are written and, off
+/// the intrinsic path, the flop count stays the exact triangle count.
 ///
 /// Shapes: `A: m x n`, `C: n x n`.
 ///
@@ -618,24 +665,8 @@ pub fn syrk_ln_micro_path_with<T: Scalar>(
                         c.block_mut(i0 + ir, i0 + ir + mr_eff, i0 + jr, i0 + jr + nr_eff);
                     if mr_eff == mr && nr_eff == nr && ir >= jr + nr - 1 {
                         full_tile(path, mr, nr, kc_eff, ap, bp, &mut ctile);
-                    } else if mr_eff == mr
-                        && nr_eff == nr
-                        && path == MicroPath::Intrinsic
-                        && straddle_tile_intrinsic(mr, nr, kc_eff, ap, bp, &mut ctile, ir, jr)
-                    {
-                        // Fused straddle tile handled above.
                     } else {
-                        edge_tile(
-                            kc_eff,
-                            mr,
-                            nr,
-                            mr_eff,
-                            nr_eff,
-                            ap,
-                            bp,
-                            &mut ctile,
-                            Some((ir, jr)),
-                        );
+                        partial_tile(path, kc_eff, mr, nr, ap, bp, &mut ctile, Some((ir, jr)));
                     }
                     ir += mr;
                 }

@@ -33,10 +33,12 @@
 //! slice of a source row — packing is pure `memcpy`-shaped traffic.
 //!
 //! Ragged edges are padded with explicit zeros so the microkernel always
-//! sees full panels; the loop nest never *computes* with the padding (the
-//! edge tiles use a bounds-aware kernel), keeping measured flop counts
-//! exact for the op-counting [`Tracked`](ata_mat::tracked::Tracked)
-//! scalar.
+//! sees full panels. Only the intrinsic path computes with the padding
+//! (its partial tiles run the full fused kernel into a scratch tile and
+//! keep the valid entries); the portable and scalar paths use a
+//! bounds-aware edge kernel, keeping measured flop counts exact for the
+//! op-counting [`Tracked`](ata_mat::tracked::Tracked) scalar, which never
+//! reaches the intrinsic path.
 //!
 //! # Buffer reuse
 //!

@@ -304,21 +304,144 @@ fn dispatch_is_coherent_with_the_detected_isa() {
     let isa = simd::detected();
     assert_eq!(isa, simd::detected(), "detection is cached and stable");
     match isa {
-        simd::Isa::Fma => {
+        simd::Isa::Avx512 | simd::Isa::Fma => {
             assert!(simd::has_kernels::<f64>());
             assert!(simd::has_kernels::<f32>());
-            assert_eq!(simd::fma_menu::<f64>(), Some(simd::FMA_MENU_F64));
-            assert_eq!(simd::fma_menu::<f32>(), Some(simd::FMA_MENU_F32));
+            let (m64, m32) = if isa == simd::Isa::Avx512 {
+                (simd::AVX512_MENU_F64, simd::AVX512_MENU_F32)
+            } else {
+                (simd::FMA_MENU_F64, simd::FMA_MENU_F32)
+            };
+            assert_eq!(isa.menu::<f64>(), Some(m64));
+            assert_eq!(isa.menu::<f32>(), Some(m32));
         }
         simd::Isa::Generic => {
             assert!(!simd::has_kernels::<f64>());
             assert!(!simd::has_kernels::<f32>());
-            assert_eq!(simd::fma_menu::<f64>(), None);
+            assert_eq!(isa.menu::<f64>(), None);
         }
     }
     // Tracked never has fused kernels and never resolves to Intrinsic,
     // whatever the host ISA or ATA_MICRO say.
     assert!(!simd::has_kernels::<Tracked>());
-    assert_eq!(simd::fma_menu::<Tracked>(), None);
+    for tier in [simd::Isa::Generic, simd::Isa::Fma, simd::Isa::Avx512] {
+        assert_eq!(tier.menu::<Tracked>(), None);
+    }
     assert_ne!(micro_path_for::<Tracked>(), MicroPath::Intrinsic);
+}
+
+/// Ragged and prime `(m, n)` shapes: with the wide tiles of the resolved
+/// tier, every one of them has ragged edge tiles and (for syrk)
+/// partial diagonal straddles, which the intrinsic path runs fused
+/// through the scratch tile.
+const RAGGED: [(usize, usize); 4] = [(1, 1), (96, 40), (200, 37), (257, 129)];
+
+/// Plant NaN and both infinities in `a` (the positions depend only on
+/// the shape, so they coincide on `1 x 1`).
+fn poison(a: &mut Matrix<f64>) {
+    let (m, n) = a.shape();
+    a.as_mut().row_mut(0)[0] = f64::NEG_INFINITY;
+    a.as_mut().row_mut(m / 2)[n / 3] = f64::NAN;
+    a.as_mut().row_mut(m - 1)[n - 1] = f64::INFINITY;
+}
+
+/// Same non-finite pattern: each entry is NaN, infinite or finite on
+/// both paths alike (summation order cannot change that class when the
+/// finite terms cannot overflow).
+fn same_non_finite(x: &Matrix<f64>, y: &Matrix<f64>) -> bool {
+    x.as_slice()
+        .iter()
+        .zip(y.as_slice())
+        .all(|(a, b)| a.is_nan() == b.is_nan() && a.is_finite() == b.is_finite())
+}
+
+#[test]
+fn ragged_gemm_intrinsic_matches_portable_including_non_finite_operands() {
+    let cfg = KernelConfig::for_scalar::<f64>();
+    for (m, n) in RAGGED {
+        let k = n + 3;
+        for poisoned in [false, true] {
+            let mut a = gen::standard::<f64>(m as u64 + 41, m, n);
+            let mut b = gen::standard::<f64>(n as u64 + 43, m, k);
+            if poisoned {
+                poison(&mut a);
+                b.as_mut().row_mut(m / 3)[k / 2] = f64::INFINITY;
+            }
+            let seed_c = gen::standard::<f64>(47, n, k);
+            let mut c_fused = seed_c.clone();
+            let mut c_ref = seed_c;
+            gemm_tn_micro_path(
+                MicroPath::Intrinsic,
+                1.0,
+                a.as_ref(),
+                b.as_ref(),
+                &mut c_fused.as_mut(),
+                &cfg,
+            );
+            gemm_tn_micro_path(
+                MicroPath::Portable,
+                1.0,
+                a.as_ref(),
+                b.as_ref(),
+                &mut c_ref.as_mut(),
+                &cfg,
+            );
+            assert!(
+                same_non_finite(&c_fused, &c_ref),
+                "({m},{n},{k}) poisoned={poisoned}: non-finite entries differ"
+            );
+            if !poisoned {
+                let diff = c_fused.max_abs_diff(&c_ref);
+                assert!(diff <= tol64(m.max(n), k), "({m},{n},{k}): {diff}");
+            }
+        }
+    }
+}
+
+#[test]
+fn ragged_syrk_intrinsic_matches_portable_and_spares_the_strict_upper() {
+    let cfg = KernelConfig::for_scalar::<f64>();
+    for (m, n) in RAGGED {
+        for poisoned in [false, true] {
+            let mut a = gen::standard::<f64>(m as u64 * 3 + 53, m, n);
+            if poisoned {
+                poison(&mut a);
+            }
+            let seed_c = gen::standard::<f64>(59, n, n);
+            let mut c_fused = seed_c.clone();
+            let mut c_ref = seed_c.clone();
+            syrk_ln_micro_path(
+                MicroPath::Intrinsic,
+                1.0,
+                a.as_ref(),
+                &mut c_fused.as_mut(),
+                &cfg,
+            );
+            syrk_ln_micro_path(
+                MicroPath::Portable,
+                1.0,
+                a.as_ref(),
+                &mut c_ref.as_mut(),
+                &cfg,
+            );
+            for i in 0..n {
+                let (got, want) = (c_fused.as_ref().row(i), seed_c.as_ref().row(i));
+                assert!(
+                    got[i + 1..]
+                        .iter()
+                        .zip(&want[i + 1..])
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "({m},{n}) poisoned={poisoned}: strict upper of row {i} touched"
+                );
+            }
+            assert!(
+                same_non_finite(&c_fused, &c_ref),
+                "({m},{n}) poisoned={poisoned}: non-finite entries differ"
+            );
+            if !poisoned {
+                let diff = c_fused.max_abs_diff_lower(&c_ref);
+                assert!(diff <= tol64(m.max(n), n), "({m},{n}): {diff}");
+            }
+        }
+    }
 }

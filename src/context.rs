@@ -703,9 +703,9 @@ impl<T: Scalar + 'static> PlanCore<T> {
         };
         // Leaf-kernel packing workspace (BLIS-style engine): sized from
         // the measured per-scalar blocking, warmed per thread.
-        // `for_scalar` resolves the *per-ISA* tuned row (the fused
-        // AVX2+FMA kernels prefer different tiles than the portable
-        // ones), so the warmed buffers match whatever tile path
+        // `for_scalar` resolves the *per-ISA* tuned row (each fused
+        // tier prefers different tiles than the portable kernels), so
+        // the warmed buffers match whatever tile path
         // `ata_kernels::simd::detected()` dispatches at execute time.
         let (pack_a, pack_b) = KernelConfig::for_scalar::<T>().pack_buffer_elems();
         let pack_elems = if dist.is_some() { 0 } else { pack_a + pack_b };
