@@ -7,8 +7,8 @@
 //! turns those motivations into library code built on `ata-core`:
 //!
 //! * [`cholesky`] — `G = L L^T` factorization and SPD solves;
-//! * [`update`] — streaming factorization: rank-k Cholesky/LDLᵀ
-//!   updates and downdates in `O(n²k)`, plus the `O(n²)`-per-shift
+//! * [`update`] — streaming factorization: rank-k LDLᵀ updates and
+//!   downdates in `O(n²k)`, plus the `O(n²)`-per-shift
 //!   [`update::ShiftedSolver`] behind ridge lambda paths;
 //! * [`triangular`] — forward/backward substitution;
 //! * [`lstsq`] — normal-equations least squares (`A^T A x = A^T b`);

@@ -12,12 +12,6 @@
 //!   as `Lᵀ` in row-major order so both the update sweep and the
 //!   substitutions walk contiguous memory. This is the production
 //!   representation behind the facade's `FactoredGram`.
-//! * [`llt_rank_update`] / [`llt_rank1_update`] / [`llt_rank1_downdate`]
-//!   — classical `L Lᵀ` sweeps (Givens rotations for updates,
-//!   hyperbolic rotations for downdates) operating directly on the
-//!   lower-triangular factor produced by
-//!   [`crate::cholesky::cholesky_factor`], for callers that already
-//!   hold an `L Lᵀ` factor.
 //! * [`ShiftedSolver`] — a one-time Householder tridiagonalization
 //!   `C = Q T Qᵀ` after which *any* shifted system `(C + λI)x = b`
 //!   solves in `O(n²)`; this is the kernel behind
@@ -435,140 +429,6 @@ impl<T: Scalar> LdltFactor<T> {
     }
 }
 
-/// Rank-1 update of a Cholesky factor: `L Lᵀ → L'L'ᵀ = L Lᵀ + w wᵀ` by
-/// a sweep of Givens rotations (LINPACK `dchud`). `w` is consumed as
-/// workspace. Operates on the conventional lower-triangular factor
-/// produced by [`crate::cholesky::cholesky_factor`]; for streaming
-/// workloads prefer [`LdltFactor`], whose transposed storage keeps the
-/// sweep contiguous.
-///
-/// # Errors
-/// * [`UpdateError::ShapeMismatch`] if `w.len() != n`.
-/// * [`UpdateError::Indefinite`] if a diagonal entry of `l` is zero (a
-///   corrupt factor); detected before dividing, never writing NaN.
-///
-/// # Panics
-/// If `l` is not square.
-pub fn llt_rank1_update<T: Scalar>(l: &mut Matrix<T>, w: &mut [T]) -> Result<(), UpdateError> {
-    let n = l.rows();
-    assert_eq!(l.cols(), n, "rank-1 update needs a square factor");
-    if w.len() != n {
-        return Err(UpdateError::ShapeMismatch {
-            expected: n,
-            got: w.len(),
-        });
-    }
-    for j in 0..n {
-        let ljj = l[(j, j)];
-        let wj = w[j];
-        let rr = ljj * ljj + wj * wj;
-        let rrf = rr.to_f64();
-        if rrf <= 0.0 || !rrf.is_finite() {
-            return Err(UpdateError::Indefinite { column: j });
-        }
-        let rf = rrf.sqrt();
-        let c = T::from_f64(ljj.to_f64() / rf);
-        let s = T::from_f64(wj.to_f64() / rf);
-        l[(j, j)] = T::from_f64(rf);
-        for i in (j + 1)..n {
-            let t = l[(i, j)];
-            l[(i, j)] = c * t + s * w[i];
-            w[i] = c * w[i] - s * t;
-        }
-    }
-    Ok(())
-}
-
-/// Rank-1 downdate of a Cholesky factor: `L Lᵀ → L'L'ᵀ = L Lᵀ − w wᵀ`
-/// by a sweep of hyperbolic rotations (LINPACK `dchdd`). `w` is
-/// consumed as workspace.
-///
-/// # Errors
-/// * [`UpdateError::ShapeMismatch`] if `w.len() != n`.
-/// * [`UpdateError::Indefinite`] if the downdated matrix is not
-///   positive definite (`l_jj² − w_j² ≤ 0` at some column). The check
-///   runs *before* any division at that column, so the factor stays
-///   finite — but its contents are unspecified and must be refactored.
-///
-/// # Panics
-/// If `l` is not square.
-pub fn llt_rank1_downdate<T: Scalar>(l: &mut Matrix<T>, w: &mut [T]) -> Result<(), UpdateError> {
-    let n = l.rows();
-    assert_eq!(l.cols(), n, "rank-1 downdate needs a square factor");
-    if w.len() != n {
-        return Err(UpdateError::ShapeMismatch {
-            expected: n,
-            got: w.len(),
-        });
-    }
-    for j in 0..n {
-        let ljj = l[(j, j)];
-        let wj = w[j];
-        let rr = ljj * ljj - wj * wj;
-        let rrf = rr.to_f64();
-        if rrf <= 0.0 || !rrf.is_finite() {
-            return Err(UpdateError::Indefinite { column: j });
-        }
-        let rf = rrf.sqrt();
-        // Hyperbolic parameters: s = w_j/l_jj, 1/c = l_jj/r with
-        // c = √(1−s²) = r/l_jj.
-        let s = T::from_f64(wj.to_f64() / ljj.to_f64());
-        let inv_c = T::from_f64(ljj.to_f64() / rf);
-        l[(j, j)] = T::from_f64(rf);
-        for i in (j + 1)..n {
-            let t = l[(i, j)];
-            l[(i, j)] = (t - s * w[i]) * inv_c;
-            w[i] = (w[i] - s * t) * inv_c;
-        }
-    }
-    Ok(())
-}
-
-/// Rank-k update of a Cholesky factor:
-/// `L Lᵀ → L Lᵀ + α·chunkᵀ·chunk`, one rank-1 sweep per chunk row
-/// (each row scaled by `√|α|`; `α < 0` downdates). `O(n²k)`.
-///
-/// # Errors
-/// * [`UpdateError::ShapeMismatch`] if `chunk` does not have `n`
-///   columns (the factor is untouched).
-/// * [`UpdateError::Indefinite`] from a failed downdate sweep; rows
-///   before the failing one are already applied, so the factor must be
-///   refactored.
-///
-/// # Panics
-/// If `l` is not square.
-pub fn llt_rank_update<T: Scalar>(
-    l: &mut Matrix<T>,
-    alpha: T,
-    chunk: MatRef<'_, T>,
-) -> Result<(), UpdateError> {
-    let n = l.rows();
-    assert_eq!(l.cols(), n, "rank-k update needs a square factor");
-    if chunk.cols() != n {
-        return Err(UpdateError::ShapeMismatch {
-            expected: n,
-            got: chunk.cols(),
-        });
-    }
-    let af = alpha.to_f64();
-    if af == 0.0 || chunk.rows() == 0 {
-        return Ok(());
-    }
-    let scale = T::from_f64(af.abs().sqrt());
-    let mut w = vec![T::ZERO; n];
-    for r in 0..chunk.rows() {
-        for (wv, cv) in w.iter_mut().zip(chunk.row(r)) {
-            *wv = scale * *cv;
-        }
-        if af > 0.0 {
-            llt_rank1_update(l, &mut w)?;
-        } else {
-            llt_rank1_downdate(l, &mut w)?;
-        }
-    }
-    Ok(())
-}
-
 /// A λ-shift solve kernel: one Householder tridiagonalization
 /// `C = Q T Qᵀ` (`O(n³)`, done once), after which every shifted system
 /// `(C + λI) x = b` costs `O(n²)` — apply `Qᵀ`, solve the tridiagonal
@@ -950,64 +810,6 @@ mod tests {
             }
         );
         assert!(f.solve(&[1.0; 4]).is_ok(), "factor untouched by rejection");
-    }
-
-    #[test]
-    fn llt_update_matches_refactor() {
-        let n = 7;
-        let g = spd(n, 10);
-        let mut l = g.clone();
-        cholesky_factor(&mut l).expect("SPD");
-        let chunk = gen::standard::<f64>(11, 2, n);
-        llt_rank_update(&mut l, 1.0, chunk.as_ref()).expect("update");
-        let mut g2 = g.clone();
-        for i in 0..n {
-            for j in 0..=i {
-                for r in 0..2 {
-                    g2[(i, j)] += chunk[(r, i)] * chunk[(r, j)];
-                }
-            }
-        }
-        cholesky_factor(&mut g2).expect("SPD");
-        for i in 0..n {
-            for j in 0..=i {
-                assert!((l[(i, j)] - g2[(i, j)]).abs() < 1e-8, "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
-    fn llt_downdate_matches_refactor_and_fails_typed() {
-        let n = 6;
-        let g = spd(n, 12);
-        let chunk = gen::standard::<f64>(13, 1, n);
-        // Grow first so the retraction stays definite.
-        let mut g_plus = g.clone();
-        for i in 0..n {
-            for j in 0..=i {
-                g_plus[(i, j)] += chunk[(0, i)] * chunk[(0, j)];
-            }
-        }
-        let mut l = g_plus.clone();
-        cholesky_factor(&mut l).expect("SPD");
-        llt_rank_update(&mut l, -1.0, chunk.as_ref()).expect("downdate");
-        let mut lr = g.clone();
-        cholesky_factor(&mut lr).expect("SPD");
-        for i in 0..n {
-            for j in 0..=i {
-                assert!((l[(i, j)] - lr[(i, j)]).abs() < 1e-8, "({i},{j})");
-            }
-        }
-        // Over-retraction is a typed error with finite contents.
-        let mut big = vec![0.0; n];
-        big[0] = 1e6;
-        let err = llt_rank1_downdate(&mut l, &mut big).expect_err("indefinite");
-        assert!(matches!(err, UpdateError::Indefinite { column: 0 }));
-        for i in 0..n {
-            for j in 0..=i {
-                assert!(l[(i, j)].is_finite());
-            }
-        }
     }
 
     #[test]

@@ -495,8 +495,8 @@ impl AtaContext {
     /// re-planning an already-planned `(T, m, n, output)` combination is
     /// a hash lookup returning the same shared core (see
     /// [`AtaContext::plan_cache_len`]). The serving front-ends —
-    /// [`crate::batch::BatchPlan`], [`crate::service::AtaService`], the
-    /// one-shot conveniences — lean on this to re-plan per call for
+    /// [`crate::batch::BatchPlan`], [`crate::shard::ShardedService`],
+    /// the one-shot conveniences — lean on this to re-plan per call for
     /// free.
     pub fn plan_with<T: Scalar + 'static>(
         &self,

@@ -63,7 +63,7 @@
 //! ## The serving layer
 //!
 //! Production Gram workloads rarely look like "one matrix, one call".
-//! Three front-ends cover the serving shapes, all sharing the context's
+//! Four front-ends cover the serving shapes, all sharing the context's
 //! pool, arenas and shape-keyed plan cache:
 //!
 //! * [`stream::GramAccumulator`] — `A` arrives as row chunks
@@ -75,9 +75,11 @@
 //!   refactor.
 //! * [`batch::BatchPlan`] — floods of small problems, executed whole,
 //!   one per pool worker ([`BatchPlan::execute_batch`]).
-//! * [`service::AtaService`] — a `Send + Sync` blocking job queue with
-//!   bounded-capacity backpressure, coalescing submissions into batched
-//!   dispatches — the component a server embeds.
+//! * [`shard::ShardedService`] — the `Send + Sync` serving front door a
+//!   server embeds: bounded per-shard queues with backpressure,
+//!   coalescing submissions into batched dispatches, and splitting large
+//!   jobs across simulated ranks via AtA-D. A one-node coalescing queue
+//!   is `ShardedServiceBuilder::new(&ctx).shards(1)`.
 //!
 //! ```
 //! use ata::AtaContext;
@@ -115,9 +117,12 @@ pub mod batch;
 pub mod clock;
 pub mod context;
 pub mod factor;
-pub mod service;
 pub mod shard;
 pub mod stream;
+
+#[cfg(test)]
+#[path = "one_shard_tests.rs"]
+mod service;
 
 pub use batch::BatchPlan;
 pub use clock::{Clock, ManualClock, WallClock};
@@ -125,9 +130,8 @@ pub use context::{
     default_context, AtaContext, AtaContextBuilder, AtaOutput, AtaPlan, Backend, Output, OwnedPlan,
 };
 pub use factor::FactoredGram;
-pub use service::{AtaService, AtaServiceBuilder, JobError, JobHandle, TrySubmitError};
 pub use shard::{
-    RetryPolicy, ShardJobHandle, ShardStats, ShardSubmitError, ShardedService,
+    JobError, RetryPolicy, ShardJobHandle, ShardStats, ShardSubmitError, ShardedService,
     ShardedServiceBuilder, ShardedStats, SplitChaos,
 };
 pub use stream::GramAccumulator;

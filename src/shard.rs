@@ -1,12 +1,15 @@
-//! Sharded distributed serving: [`ShardedService`].
+//! The serving front door: [`ShardedService`].
 //!
-//! [`crate::service::AtaService`] batches a flood onto *one* node's
-//! pool; [`crate::dist::DistPlan`] splits *one* large problem across
-//! simulated ranks. A production front door needs both at once: route a
+//! [`crate::batch::BatchPlan`] executes a flood already in hand on one
+//! node's pool; [`crate::dist::DistPlan`] splits *one* large problem
+//! across simulated ranks. A server needs both at once: route a
 //! heterogeneous flood so that small Gram problems run whole — one per
 //! rank-shard, coalesced into per-shard [`BatchPlan`] dispatches — while
 //! problems too large for a single shard split across all P ranks via
-//! AtA-D (Algorithm 4). [`ShardedService`] is that router.
+//! AtA-D (Algorithm 4). [`ShardedService`] is that router, and the one
+//! service type: built with `.shards(1)` ([`ShardedServiceBuilder::shards`])
+//! it never splits and is a plain coalescing job queue over the
+//! context's pool.
 //!
 //! Four properties make it a serving component rather than a demo:
 //!
@@ -57,7 +60,42 @@ use crate::batch::BatchPlan;
 use crate::clock::{Clock, WallClock};
 use crate::context::{lock_recover, AtaContext, AtaOutput, Output};
 
-pub use crate::service::JobError;
+/// Why a job handle carries no result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobError {
+    /// The job was caught on panicking shards until the requeue path
+    /// gave up: either its own solo dispatch panicked (proven culprit),
+    /// the retry budget ran out, or no live shard was left to take it.
+    /// `attempts` counts the dispatch attempts that ended in a panic.
+    Requeued {
+        /// Dispatch attempts that ended in a shard panic.
+        attempts: usize,
+    },
+    /// The job's submission deadline passed before a worker could
+    /// execute it (see [`ShardedService::submit_with_deadline`]).
+    DeadlineExceeded,
+    /// The service shut down before the job ran.
+    Closed,
+    /// An internal invariant failed while executing the job (e.g. the
+    /// simulated cluster produced no rank-0 result); the job is failed
+    /// instead of panicking the serving lane.
+    Internal,
+}
+
+impl std::fmt::Display for JobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobError::Requeued { attempts } => {
+                write!(f, "job failed after {attempts} panicked dispatch attempts")
+            }
+            JobError::DeadlineExceeded => write!(f, "job deadline passed before execution"),
+            JobError::Closed => write!(f, "service shut down before the job ran"),
+            JobError::Internal => write!(f, "internal invariant failed while executing the job"),
+        }
+    }
+}
+
+impl std::error::Error for JobError {}
 
 /// Deterministic exponential backoff for the split lane's fault
 /// retries: attempt `k` (0-based) failing sleeps
@@ -233,8 +271,10 @@ impl<T: Scalar> ShardJob<T> {
     }
 
     /// Descending-dispatch key: the `m n^2` multiply volume of the
-    /// classical product — the same largest-first policy as
-    /// [`crate::service::AtaService`]'s worker.
+    /// classical product. Under the pool a batch's critical path is its
+    /// biggest job, so starting it first keeps the tail from serializing
+    /// behind it; the sort is stable and each job answers on its own
+    /// channel, so the order never changes a caller's result.
     fn flop_estimate(&self) -> u128 {
         let (m, n) = self.shape();
         m as u128 * n as u128 * n as u128
