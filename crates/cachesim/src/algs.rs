@@ -26,14 +26,19 @@ pub struct CacheStats {
     pub accesses: u64,
 }
 
-/// Base-case predicate of the `A^T B` recursions — mirrors
-/// `ata-strassen::workspace::is_base`.
+/// Base-case predicate of the `A^T B` recursions in the paper's literal
+/// Algorithm 2 form (both input blocks fit in `M`), the model
+/// Proposition 3.1 analyses. The production predicates
+/// (`CacheConfig::gemm_base`) size leaves by their output instead, since
+/// the packed leaf kernel streams the row dimension in cache-sized slabs.
 #[inline]
 fn gemm_base(m: usize, n: usize, k: usize, base_words: usize) -> bool {
     m * n + m * k <= base_words || (m <= 1 && n <= 1 && k <= 1)
 }
 
-/// Base-case predicate of AtA — mirrors `CacheConfig::ata_base`.
+/// Base-case predicate of AtA in the paper's literal Algorithm 1 form
+/// (the `m x n` input block fits in `M`), the model Proposition 3.1
+/// analyses; the production `CacheConfig::ata_base` counts the output.
 #[inline]
 fn ata_base(m: usize, n: usize, base_words: usize) -> bool {
     m * n <= base_words

@@ -67,8 +67,10 @@ pub fn classical_ata_flops(m: usize, n: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::serial::ata_into;
+    use crate::tasktree::{ComputeKind, SharedPlan};
     use ata_mat::tracked::{measure, Tracked};
     use ata_mat::{gen, Matrix};
+    use std::collections::BTreeMap;
 
     /// Fully-recursive config: base cases only at single elements.
     fn deep() -> CacheConfig {
@@ -159,6 +161,83 @@ mod tests {
             ata_mults(n, n, &big),
             (n as u64) * (n as u64) * (n as u64 + 1) / 2
         );
+    }
+
+    type Syrk = BTreeMap<(usize, usize), u64>;
+    type Gemm = BTreeMap<(usize, usize, usize), u64>;
+
+    /// Leaf shapes, with multiplicities, of the serial recursion on an
+    /// `m x n` input: syrk `(m, n)` and Strassen gemm `(m, n, k)` leaves
+    /// (the recursions of `serial::rec` and `ata_strassen::fast`).
+    fn ata_leaves(m: usize, n: usize, cfg: &CacheConfig, syrk: &mut Syrk, gemm: &mut Gemm) {
+        if m == 0 || n == 0 {
+            return;
+        }
+        if cfg.ata_base(m, n) {
+            *syrk.entry((m, n)).or_default() += 1;
+            return;
+        }
+        let (m1, m2) = (half_up(m), half_down(m));
+        let (n1, n2) = (half_up(n), half_down(n));
+        for (r, c) in [(m1, n1), (m2, n1), (m1, n2), (m2, n2)] {
+            ata_leaves(r, c, cfg, syrk, gemm);
+        }
+        gemm_leaves(m1, n2, n1, 1, cfg, gemm);
+        gemm_leaves(m2, n2, n1, 1, cfg, gemm);
+    }
+
+    fn gemm_leaves(m: usize, n: usize, k: usize, mult: u64, cfg: &CacheConfig, gemm: &mut Gemm) {
+        if m == 0 || n == 0 || k == 0 {
+            return;
+        }
+        if cfg.gemm_base(m, n, k) || (m <= 1 && n <= 1 && k <= 1) {
+            *gemm.entry((m, n, k)).or_default() += mult;
+            return;
+        }
+        gemm_leaves(half_up(m), half_up(n), half_up(k), 7 * mult, cfg, gemm);
+    }
+
+    fn leaf_mults(syrk: &Syrk, gemm: &Gemm) -> u64 {
+        let s: u64 = syrk
+            .iter()
+            .map(|(&(m, n), c)| c * (m * n * (n + 1) / 2) as u64)
+            .sum();
+        s + gemm
+            .iter()
+            .map(|(&(m, n, k), c)| c * (m * n * k) as u64)
+            .sum::<u64>()
+    }
+
+    #[test]
+    fn leaf_shapes_at_a_2_pow_20_budget() {
+        // The leaf sizes follow the output alone: square inputs recurse
+        // as the input-block rule did, tall ones stay wide leaves.
+        let cfg = CacheConfig::with_words(1 << 20);
+        let serial = |m, n| {
+            let (mut syrk, mut gemm) = (Syrk::new(), Gemm::new());
+            ata_leaves(m, n, &cfg, &mut syrk, &mut gemm);
+            assert_eq!(leaf_mults(&syrk, &gemm), ata_mults(m, n, &cfg));
+            (syrk, gemm)
+        };
+        let (syrk, gemm) = serial(2048, 2048);
+        assert_eq!(syrk, Syrk::from([((1024, 1024), 4)]));
+        assert_eq!(gemm, Gemm::from([((512, 512, 512), 14)]));
+        let (syrk, gemm) = serial(8192, 1024);
+        assert_eq!(syrk, Syrk::from([((8192, 1024), 1)]));
+        assert!(gemm.is_empty());
+
+        // AtA-S with two threads: full-height Eq. 7 strips.
+        let m = 8192;
+        let (mut syrk, mut gemm) = (Syrk::new(), Gemm::new());
+        for t in &SharedPlan::build(1024, 2).tasks {
+            let w = t.a_cols.1 - t.a_cols.0;
+            match t.kind {
+                ComputeKind::AtA => ata_leaves(m, w, &cfg, &mut syrk, &mut gemm),
+                ComputeKind::AtB => gemm_leaves(m, w, t.b_cols.1 - t.b_cols.0, 1, &cfg, &mut gemm),
+            }
+        }
+        assert_eq!(syrk, Syrk::from([((8192, 512), 2)]));
+        assert_eq!(gemm, Gemm::from([((8192, 512, 512), 1)]));
     }
 
     #[test]

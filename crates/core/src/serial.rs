@@ -10,8 +10,10 @@
 //! C12  = C21^T                     (never computed — symmetry)
 //! ```
 //!
-//! The base case (`m * n` fits the cache budget) calls the blocked
-//! `syrk_ln` kernel, exactly as the paper calls BLAS `?syrk`. The
+//! The base case (the `n x n` output fits the leaf budget, see
+//! [`CacheConfig::ata_base`]) calls the packed `syrk_ln` kernel, exactly
+//! as the paper calls BLAS `?syrk`; a tall input stays one leaf, whose
+//! kernel streams the rows in cache-sized slabs. The
 //! quadrant split rounds *up* (`m1 = ⌈m/2⌉`, `n1 = ⌈n/2⌉`), so `C21` is
 //! always a full rectangle lying entirely inside the lower triangle.
 //!
@@ -150,20 +152,25 @@ pub fn ata_workspace_elems(m: usize, n: usize, cfg: &CacheConfig, kind: Strassen
     .unwrap_or(0)
 }
 
-/// Tallest row-chunk height that still hits the `syrk` base case for an
-/// `n`-column input under `cfg` — the thin/tall threshold of streaming
-/// Gram accumulation.
+/// Tallest row-chunk height that streaming Gram accumulation folds as
+/// one direct β = 1 `syrk_ln` rank update (no recursion, no Strassen
+/// workspace) for an `n`-column input under `cfg` — its thin/tall
+/// threshold.
 ///
-/// A chunk of at most this many rows satisfies `cfg.ata_base(rows, n)`,
-/// so `C += Aᵢᵀ Aᵢ` runs as one direct β = 1 `syrk_ln` rank update with
-/// no recursion and no Strassen workspace; taller chunks are worth the
-/// full AtA recursion. Always at least 1 (a single row is a rank-1
-/// update no matter how wide), and saturates to `usize::MAX` for `n = 0`.
+/// When the `n x n` output fits the budget ([`CacheConfig::ata_base`],
+/// which ignores the row count) every chunk, however tall, is a base
+/// case, and the threshold is `usize::MAX` (also for `n = 0`). Wider
+/// streams keep the recursion for chunks whose `m x n` block exceeds
+/// the budget: a shorter chunk gains nothing from Strassen levels whose
+/// block sums over the wide output cost more than the few rows save.
+/// The threshold is then at least 1 (a single row is a rank-1 update no
+/// matter how wide).
 pub fn chunk_rows_for_budget(n: usize, cfg: &CacheConfig) -> usize {
-    if n == 0 {
-        return usize::MAX;
+    if cfg.ata_base(1, n) {
+        usize::MAX
+    } else {
+        (cfg.words / n).max(1)
     }
-    (cfg.words / n).max(1)
 }
 
 fn rec<T: Scalar>(
@@ -355,21 +362,24 @@ mod tests {
 
     #[test]
     fn chunk_threshold_matches_base_case_predicate() {
-        for words in [4usize, 64, 1024, 131_072] {
+        for words in [1usize, 4, 64, 1024, 131_072, 1 << 20] {
             let cfg = CacheConfig::with_words(words);
-            for n in [1usize, 7, 32, 100] {
+            for n in [1usize, 2, 7, 8, 32, 100, 362, 363, 1024, 1025] {
                 let rows = chunk_rows_for_budget(n, &cfg);
-                assert!(rows >= 1);
-                if rows < usize::MAX && rows * n <= words {
-                    assert!(cfg.ata_base(rows, n), "({words},{n}): {rows} not base");
-                }
-                if rows.saturating_mul(n) > words {
-                    // Only possible through the >= 1 floor.
-                    assert_eq!(rows, 1, "({words},{n})");
-                }
-                // One more row must overflow the budget (or be the floor).
-                if rows < usize::MAX && rows > 1 {
-                    assert!(!cfg.ata_base(rows + 1, n), "({words},{n}) not maximal");
+                if cfg.ata_base(1, n) {
+                    // The output fits: every chunk is a base case of the
+                    // recursion, so every chunk folds directly.
+                    assert_eq!(rows, usize::MAX, "({words},{n})");
+                    for m in [1usize, 1000, usize::MAX] {
+                        assert!(cfg.ata_base(m, n), "({words},{n},{m})");
+                    }
+                } else {
+                    // No chunk is a base case; the tallest direct chunk
+                    // is the tallest whose `m x n` block fits (or one row).
+                    assert!(!cfg.ata_base(1, n));
+                    assert!((1..usize::MAX).contains(&rows), "({words},{n})");
+                    assert!(rows == 1 || rows * n <= words, "({words},{n}): {rows}");
+                    assert!((rows + 1) * n > words, "({words},{n}): {rows} not maximal");
                 }
             }
         }

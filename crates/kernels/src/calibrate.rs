@@ -115,10 +115,10 @@ const TUNED_F64_FMA: Tuned = Tuned {
         mc: 64,
         nc: 256,
     },
-    // The single-level crossover model lands between 2*192^2 and
-    // 2*256^2 on repeated fused-path runs (timing noise at this
+    // The single-level crossover model lands between s* = 192 and
+    // s* = 256 on repeated fused-path runs (timing noise at this
     // machine's resolution); keep the end-to-end-validated portable
-    // value at the top of that band.
+    // value above that band.
     base_words: 131_072,
     micro_min_volume: MICRO_MIN_VOLUME,
 };
@@ -161,7 +161,7 @@ const TUNED_F64_AVX512: Tuned = Tuned {
         nc: 512,
     },
     // The faster leaves move the crossover up. The single-level model's
-    // answer is noise-bound on this host (2*128^2 to 2*192^2 across
+    // answer is noise-bound on this host (s* = 128 to 192 across
     // runs), so the cutoff is the end-to-end winner: a 2^20-word budget
     // (1024^2 syrk leaves on the square shape) beat 2^18 and 2^19 on
     // both shapes (square 0.42-0.47 s against 0.58 s at 2^18; tall
@@ -389,8 +389,8 @@ fn time_syrk<T: Scalar>(size: usize, cfg: &KernelConfig, bufs: &mut PackBufs<T>)
 }
 
 /// The sizes swept for the base-case crossover; the returned cutoff is
-/// always `2 s^2` for some swept `s`, so `[2*48^2, 2*1024^2]` is the
-/// valid range of any measured (or baked) `base_words`. The top sizes
+/// always `s^2` for some swept `s`, so `[48^2, 1024^2]` is the valid
+/// range of any measured (or baked) `base_words`. The top sizes
 /// exist for the AVX-512 tier, whose leaves stay efficient well past
 /// `256 x 256`.
 pub const BASE_SWEEP_SIZES: &[usize] = &[48, 64, 96, 128, 192, 256, 384, 512, 768, 1024];
@@ -410,9 +410,10 @@ pub const BASE_SWEEP_SIZES: &[usize] = &[48, 64, 96, 128, 192, 256, 384, 512, 76
 /// mix, not Algorithm 1's — and mispriced the syrk leaves, which skip
 /// the strictly-upper half of every diagonal tile. The crossover `s*`
 /// is the smallest swept size where recursing wins; recursion should
-/// *stop* below it, i.e. when the operands fit `words = 2 * s*^2` cache
-/// words (the `ata_base` predicate `m*n + n*n <= words` on a square
-/// problem).
+/// *stop* at it, so the budget is returned in the units of
+/// [`crate::CacheConfig::ata_base`], `n^2 <= words`: a leaf of order `s`
+/// costs `s^2` words and the returned `s*^2` puts the square leaf
+/// exactly at the measured crossover.
 pub fn measure_base_words<T: Scalar>(kernel: &KernelConfig, quick: bool) -> usize {
     let sizes: &[usize] = if quick { &[48, 96] } else { BASE_SWEEP_SIZES };
     let mut bufs = PackBufs::new();
@@ -422,12 +423,12 @@ pub fn measure_base_words<T: Scalar>(kernel: &KernelConfig, quick: bool) -> usiz
         let t_level = 4.0 * time_syrk::<T>(half, kernel, &mut bufs)
             + 2.0 * time_gemm::<T>(half, kernel, &mut bufs);
         if t_level < 0.95 * t_full {
-            return 2 * s * s;
+            return s * s;
         }
     }
     // No crossover in range: keep recursion rare.
     let s = *sizes.last().expect("size table is non-empty"); // ata-lint: allow(no-unwrap-in-lib): the size table is a non-empty constant
-    2 * s * s
+    s * s
 }
 
 /// The sizes swept for the micro-vs-blocked crossover; any measured (or
@@ -530,8 +531,9 @@ mod tests {
 
     #[test]
     fn baked_cutoffs_lie_in_the_measured_sweep_range() {
-        let lo = 2 * BASE_SWEEP_SIZES.first().unwrap().pow(2);
-        let hi = 2 * BASE_SWEEP_SIZES.last().unwrap().pow(2);
+        let lo = BASE_SWEEP_SIZES.first().unwrap().pow(2);
+        let hi = BASE_SWEEP_SIZES.last().unwrap().pow(2);
+        assert_eq!((lo, hi), (48 * 48, 1024 * 1024));
         for t in [
             TUNED_F64,
             TUNED_F32,
@@ -643,7 +645,7 @@ mod tests {
         // hardware-dependent and not asserted.)
         let t = measure::<f32>(true);
         assert!(menu_for::<f32>().contains(&(t.kernel.mr, t.kernel.nr)));
-        assert!(t.base_words >= 2 * 48 * 48);
+        assert!(t.base_words >= 48 * 48);
         assert!(t.micro_min_volume >= MICRO_MIN_VOLUME);
     }
 }

@@ -51,11 +51,19 @@ pub use syrk::{syrk_ln, syrk_ln_beta};
 /// algorithms (Algorithm 1 line 2; Algorithm 2 line 2).
 ///
 /// The paper stops recursing "when the number of entries of the
-/// sub-matrix fits in the cache". `words` is that capacity measured in
-/// matrix elements.
+/// sub-matrix fits in the cache". Here the leaf is the packed
+/// register-blocked engine ([`micro`]), which already blocks the row
+/// (reduction) dimension by `KC`, so only the *output* block has to fit:
+/// a leaf's working set is its `C` block plus one `KC`-deep slab of
+/// each operand, whatever the row count. Both predicates therefore size
+/// leaves by their output dimensions alone, and a tall operand stays one
+/// wide leaf instead of recursing into narrow, memory-bound ones.
+/// `words` is the budget measured in matrix elements; on square
+/// problems (`m = n`, and `m = n = k` for products) the predicates
+/// recurse exactly like the paper's literal "the `m x n` block fits".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Number of elements assumed to fit in the last-level private cache.
+    /// Leaf budget in elements: a syrk leaf of order `s` costs `s^2`.
     pub words: usize,
 }
 
@@ -82,18 +90,24 @@ impl CacheConfig {
         Self::with_words(calibrate::tuned_for::<T>().base_words)
     }
 
-    /// Base-case predicate of AtA (Algorithm 1): the `m x n` input block
-    /// fits in cache.
+    /// Base-case predicate of AtA (Algorithm 1): the `n x n` output
+    /// block of an `m x n` input fits the budget, `n^2 <= words`. The
+    /// row count `m` does not enter; the leaf streams it in `KC` slabs.
     #[inline]
     pub fn ata_base(&self, m: usize, n: usize) -> bool {
-        m.saturating_mul(n) <= self.words
+        let _ = m;
+        n.saturating_mul(n) <= self.words
     }
 
-    /// Base-case predicate of the general `A^T B` recursion (Algorithm 2):
-    /// both operands fit together.
+    /// Base-case predicate of the general `A^T B` recursion (Algorithm 2)
+    /// with `A: m x n`, `B: m x k`: twice the `n x k` output fits the
+    /// budget, `2 n k <= words`. The row count `m` does not enter; the
+    /// factor 2 keeps square products (`m = n = k`) recursing exactly as
+    /// under the paper's both-operands rule `m n + m k <= words`.
     #[inline]
     pub fn gemm_base(&self, m: usize, n: usize, k: usize) -> bool {
-        m.saturating_mul(n).saturating_add(m.saturating_mul(k)) <= self.words
+        let _ = m;
+        n.saturating_mul(k).saturating_mul(2) <= self.words
     }
 }
 
@@ -113,17 +127,49 @@ mod tests {
     }
 
     #[test]
-    fn gemm_base_counts_both_operands() {
-        let c = CacheConfig::with_words(100);
-        assert!(c.gemm_base(5, 10, 10)); // 50 + 50
-        assert!(!c.gemm_base(5, 10, 11)); // 50 + 55
+    fn predicates_ignore_rows_and_match_the_square_formulas() {
+        for words in [1usize, 7, 100, 4096, 131_072, 1 << 20] {
+            let c = CacheConfig::with_words(words);
+            for n in [1usize, 2, 9, 10, 64, 362, 363, 724, 1024, 1025] {
+                for m in [1usize, 3, 1000, 8192, usize::MAX] {
+                    assert_eq!(c.ata_base(m, n), c.ata_base(1, n), "ata ({words},{m},{n})");
+                    for k in [1usize, n, 2 * n + 1] {
+                        assert_eq!(
+                            c.gemm_base(m, n, k),
+                            c.gemm_base(1, n, k),
+                            "gemm ({words},{m},{n},{k})"
+                        );
+                    }
+                }
+                // On square problems the output-only rule is the old
+                // input-block rule: `m*n` for AtA, `m*n + m*k` for gemm.
+                assert_eq!(c.ata_base(n, n), n * n <= words, "ata ({words},{n})");
+                assert_eq!(
+                    c.gemm_base(n, n, n),
+                    n * n + n * n <= words,
+                    "gemm ({words},{n})"
+                );
+            }
+        }
     }
 
     #[test]
     fn saturating_dimensions_do_not_overflow() {
+        // Each product below wraps to zero in plain arithmetic, which
+        // would turn an astronomically large output into a base case.
         let c = CacheConfig::default();
-        assert!(!c.ata_base(usize::MAX, 2));
-        assert!(!c.gemm_base(usize::MAX, 2, 2));
+        let half = 1usize << (usize::BITS / 2);
+        let top_bit = 1usize << (usize::BITS - 1);
+        assert!(!c.ata_base(usize::MAX, half));
+        assert!(!c.ata_base(1, usize::MAX));
+        assert!(!c.gemm_base(usize::MAX, half, half));
+        assert!(!c.gemm_base(1, top_bit, 1));
+        assert!(!c.gemm_base(1, 1, top_bit));
+        assert!(!c.gemm_base(1, usize::MAX, usize::MAX));
+        // A budget at the top of the range still separates the boundary.
+        let top = CacheConfig::with_words(usize::MAX - 1);
+        assert!(!top.ata_base(1, half));
+        assert!(top.ata_base(1, half - 1));
     }
 
     #[test]

@@ -594,13 +594,57 @@ pub fn gemm_tn_micro<T: Scalar>(
     with_thread_bufs(|bufs| gemm_tn_micro_with(alpha, a, b, c, cfg, bufs));
 }
 
+/// Sweep the packed `(apack, bpack)` block over the lower-triangle tiles
+/// of the `C` block spanning rows `ic..im` and columns `jc..jn`.
+///
+/// Tiles wholly above the diagonal are skipped, tiles wholly below it
+/// take the full kernel, and tiles the diagonal crosses (or ragged edge
+/// tiles) run as partial tiles capped to `i >= j`.
+#[allow(clippy::too_many_arguments)]
+fn sweep_lower_tiles<T: Scalar>(
+    path: MicroPath,
+    cfg: &KernelConfig,
+    kc_eff: usize,
+    apack: &[T],
+    bpack: &[T],
+    c: &mut MatMut<'_, T>,
+    (ic, im): (usize, usize),
+    (jc, jn): (usize, usize),
+) {
+    let (mr, nr) = (cfg.mr, cfg.nr);
+    let mut j0 = jc;
+    // Columns at or past `im` hold no lower entry in these rows.
+    while j0 < jn.min(im) {
+        let nr_eff = nr.min(jn - j0);
+        let bp = &bpack[((j0 - jc) / nr) * kc_eff * nr..][..kc_eff * nr];
+        // First micro-row holding an entry `i >= j0`.
+        let mut i0 = ic + (j0.saturating_sub(ic) / mr) * mr;
+        while i0 < im {
+            let mr_eff = mr.min(im - i0);
+            let ap = &apack[((i0 - ic) / mr) * kc_eff * mr..][..kc_eff * mr];
+            let mut ctile = c.block_mut(i0, i0 + mr_eff, j0, j0 + nr_eff);
+            if mr_eff == mr && nr_eff == nr && i0 >= j0 + nr - 1 {
+                full_tile(path, mr, nr, kc_eff, ap, bp, &mut ctile);
+            } else {
+                partial_tile(path, kc_eff, mr, nr, ap, bp, &mut ctile, Some((i0, j0)));
+            }
+            i0 += mr;
+        }
+        j0 += nr;
+    }
+}
+
 /// Lower-triangular `C += alpha * A^T A` through the packed engine on an
 /// explicit tile path, with caller-provided packing buffers.
 ///
-/// Strictly-lower rectangular blocks reuse the gemm loop nest; diagonal
-/// blocks run micro-tiles below the diagonal at full speed and straddling
-/// tiles as partial tiles, so only `i >= j` entries are written and, off
-/// the intrinsic path, the flop count stays the exact triangle count.
+/// A triangular macro-kernel in BLIS `herk` order: for each `KC` slab of
+/// rows, each `NC`-wide block of `B`-panels (the slab's columns, `alpha`
+/// folded in) is packed once, and every block row at or below it packs
+/// its `MC`-high `A`-panels and sweeps only the tiles that reach the
+/// lower triangle. Each `B` element is packed once per call and both
+/// packs fit the buffers [`KernelConfig::pack_buffer_elems`] sizes. Only
+/// `i >= j` entries are written and, off the intrinsic path, the flop
+/// count is the exact triangle count.
 ///
 /// Shapes: `A: m x n`, `C: n x n`.
 ///
@@ -625,56 +669,28 @@ pub fn syrk_ln_micro_path_with<T: Scalar>(
         return;
     }
     let scale = PackScale::from_alpha(alpha);
-    let (mr, nr) = (cfg.mr, cfg.nr);
+    let a_elems = packed_elems(cfg.kc.min(m), cfg.mc.min(n), cfg.mr);
+    let b_elems = packed_elems(cfg.kc.min(m), cfg.nc.min(n), cfg.nr);
+    let (apack, bpack) = bufs.split(a_elems, b_elems);
 
-    let mut i0 = 0;
-    while i0 < n {
-        let i1 = (i0 + cfg.mc).min(n);
-        // Strictly-lower rectangle of this block row:
-        // C[i0..i1, 0..i0] += alpha * A[:, i0..i1]^T A[:, 0..i0].
-        if i0 > 0 {
-            let a_i = a.block(0, m, i0, i1);
-            let a_j = a.block(0, m, 0, i0);
-            let mut c_blk = c.block_mut(i0, i1, 0, i0);
-            gemm_tn_micro_path_with(path, alpha, a_i, a_j, &mut c_blk, cfg, bufs);
-        }
-        // Diagonal block C[i0..i1, i0..i1], lower part only. Both packed
-        // operands come from the same A columns; micro-tiles entirely
-        // below the diagonal take the fast kernel.
-        let t = i1 - i0;
-        let a_elems = packed_elems(cfg.kc.min(m), t, mr);
-        let b_elems = packed_elems(cfg.kc.min(m), t, nr);
-        let mut pc = 0;
-        while pc < m {
-            let pe = (pc + cfg.kc).min(m);
-            let kc_eff = pe - pc;
-            let atile = a.block(pc, pe, i0, i1);
-            let (apack, bpack) = bufs.split(a_elems, b_elems);
-            pack_panels(atile, mr, PackScale::One, apack);
-            pack_panels(atile, nr, scale, bpack);
-            let mut jr = 0;
-            while jr < t {
-                let nr_eff = nr.min(t - jr);
-                let bp = &bpack[(jr / nr) * kc_eff * nr..][..kc_eff * nr];
-                // First micro-row containing any i >= j entry.
-                let mut ir = (jr / mr) * mr;
-                while ir < t {
-                    let mr_eff = mr.min(t - ir);
-                    let ap = &apack[(ir / mr) * kc_eff * mr..][..kc_eff * mr];
-                    let mut ctile =
-                        c.block_mut(i0 + ir, i0 + ir + mr_eff, i0 + jr, i0 + jr + nr_eff);
-                    if mr_eff == mr && nr_eff == nr && ir >= jr + nr - 1 {
-                        full_tile(path, mr, nr, kc_eff, ap, bp, &mut ctile);
-                    } else {
-                        partial_tile(path, kc_eff, mr, nr, ap, bp, &mut ctile, Some((ir, jr)));
-                    }
-                    ir += mr;
-                }
-                jr += nr;
+    let mut pc = 0;
+    while pc < m {
+        let pe = (pc + cfg.kc).min(m);
+        let kc_eff = pe - pc;
+        let mut jc = 0;
+        while jc < n {
+            let jn = (jc + cfg.nc).min(n);
+            pack_panels_par(a.block(pc, pe, jc, jn), cfg.nr, scale, bpack);
+            let mut ic = jc;
+            while ic < n {
+                let im = (ic + cfg.mc).min(n);
+                pack_panels(a.block(pc, pe, ic, im), cfg.mr, PackScale::One, apack);
+                sweep_lower_tiles(path, cfg, kc_eff, apack, bpack, c, (ic, im), (jc, jn));
+                ic = im;
             }
-            pc = pe;
+            jc = jn;
         }
-        i0 = i1;
+        pc = pe;
     }
 }
 
@@ -859,6 +875,68 @@ mod tests {
         let triangle = (m * n * (n + 1) / 2) as u64;
         assert_eq!(ops.muls, triangle);
         assert_eq!(ops.adds, triangle);
+    }
+
+    #[test]
+    fn syrk_packs_each_b_element_once() {
+        // A general alpha costs one multiply per packed B element, so the
+        // count is the exact triangle plus `m * n`: any repacked B
+        // element would add a multiply. The shapes span several KC
+        // slabs, NC blocks and MC block rows of each config.
+        let cfgs = [
+            cfg_small(),
+            KernelConfig::new(4, 8, 5, 8, 24),
+            KernelConfig::new(6, 4, 16, 30, 12),
+        ];
+        for cfg in &cfgs {
+            for &(m, n) in &[(1, 1), (3, 2), (14, 11), (9, 40), (33, 80), (20, 37)] {
+                let a = gen::standard::<Tracked>(13 + m as u64, m, n);
+                let mut c = Matrix::<Tracked>::zeros(n, n);
+                let (_, ops) = measure(|| {
+                    syrk_ln_micro(Tracked(3.0), a.as_ref(), &mut c.as_mut(), cfg);
+                });
+                let triangle = (m * n * (n + 1) / 2) as u64;
+                let packed_b = (m * n) as u64;
+                assert_eq!(ops.muls, triangle + packed_b, "({m},{n}) {cfg:?} muls");
+                assert_eq!(ops.adds, triangle, "({m},{n}) {cfg:?} adds");
+            }
+        }
+    }
+
+    #[test]
+    fn syrk_matches_oracle_across_tile_and_block_edges() {
+        // Shapes straddle the default blocking's tile, MC, NC and KC
+        // edges; both tile paths must match the oracle in the lower
+        // triangle and leave the strict upper triangle untouched.
+        let cfg = KernelConfig::for_scalar::<f64>();
+        for n in [1usize, 15, 17, 255, 257, 513, 1031] {
+            for m in [1usize, 7, 256, 257, 700] {
+                let a = gen::standard::<f64>((m * 7919 + n) as u64, m, n);
+                let c0 = gen::standard::<f64>(n as u64, n, n);
+                let mut c_ref = c0.clone();
+                reference::syrk_ln(-1.5, a.as_ref(), &mut c_ref.as_mut());
+                let tol = ata_mat::ops::product_tol::<f64>(m.max(n), n, m as f64);
+                for path in [MicroPath::Intrinsic, MicroPath::Portable] {
+                    let mut c = c0.clone();
+                    let mut bufs = PackBufs::new();
+                    syrk_ln_micro_path_with(
+                        path,
+                        -1.5,
+                        a.as_ref(),
+                        &mut c.as_mut(),
+                        &cfg,
+                        &mut bufs,
+                    );
+                    let diff = c.max_abs_diff_lower(&c_ref);
+                    assert!(diff <= tol, "({m},{n}) {path:?} differs by {diff}");
+                    assert_eq!(
+                        c.max_abs_diff(&c_ref),
+                        diff,
+                        "({m},{n}) {path:?} touched the strict upper triangle"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

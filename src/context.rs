@@ -1306,6 +1306,23 @@ mod tests {
     }
 
     #[test]
+    fn tall_plan_first_execute_packs_within_the_warmed_buffers() {
+        // The tall benchmark shape: its syrk leaves pack B-panels of at
+        // most KC x NC, so the buffers planning warmed already cover the
+        // first execute and it grows nothing.
+        let (m, n) = (8192, 1024);
+        let ctx = AtaContext::serial();
+        let plan = ctx.plan::<f64>(m, n);
+        let warm = ata_kernels::pack::thread_buf_elems::<f64>();
+        let (a_elems, b_elems) = KernelConfig::for_scalar::<f64>().pack_buffer_elems();
+        assert_eq!(warm, a_elems + b_elems);
+        let a = Matrix::<f64>::zeros(m, n);
+        let mut c = Matrix::<f64>::zeros(n, n);
+        plan.execute_into(a.as_ref(), &mut c.as_mut());
+        assert_eq!(ata_kernels::pack::thread_buf_elems::<f64>(), warm);
+    }
+
+    #[test]
     fn from_options_maps_legacy_knobs() {
         let opts = AtaOptions::with_threads(3).cache_words(128).winograd();
         let ctx = AtaContext::from_options(&opts);

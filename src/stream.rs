@@ -111,13 +111,16 @@ impl<T: Scalar + 'static> GramAccumulator<T> {
     /// Fold a row chunk into the running Gram matrix:
     /// `C_low += chunk^T chunk`.
     ///
-    /// Thin chunks (up to [`GramAccumulator::thin_rows`] rows, the
-    /// calibrated cache budget) run as one direct β = 1 syrk rank
-    /// update; taller chunks run through the context's Strassen engine
-    /// in accumulate mode, zero-padded to the next power-of-two height
-    /// bucket so the context's plan cache stays bounded no matter how
-    /// irregular the stream's chunk heights are. Empty chunks are
-    /// no-ops.
+    /// Thin chunks (up to [`GramAccumulator::thin_rows`] rows) run as
+    /// one direct β = 1 syrk rank update. The base case depends on the
+    /// output alone, so when the `n x n` Gram fits the context's
+    /// calibrated leaf budget every chunk is thin, however tall; a
+    /// wider stream keeps the chunks whose `m x n` block fits that
+    /// budget thin (see [`ata_core::chunk_rows_for_budget`]). Tall
+    /// chunks run through the context's Strassen engine in accumulate
+    /// mode, zero-padded to the next power-of-two height bucket so the
+    /// context's plan cache stays bounded no matter how irregular the
+    /// stream's chunk heights are. Empty chunks are no-ops.
     ///
     /// # Panics
     /// If the chunk does not have exactly `n` columns.
@@ -262,7 +265,8 @@ impl<T: Scalar + 'static> GramAccumulator<T> {
     }
 
     /// The thin/tall routing threshold in rows: chunks up to this height
-    /// run as one direct syrk rank update.
+    /// run as one direct syrk rank update (`usize::MAX` when every chunk
+    /// does, see [`ata_core::chunk_rows_for_budget`]).
     pub fn thin_rows(&self) -> usize {
         self.thin_rows
     }
